@@ -1,0 +1,1 @@
+"""The seeded end-to-end and per-layer benchmark (see README.md)."""
