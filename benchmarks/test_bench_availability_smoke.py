@@ -20,10 +20,13 @@ from repro.topology import template
 
 
 def test_availability_scripted_smoke():
+    # audit_index: every availability query first checks each pod's
+    # capacity index and shard maps against a full rescan.
     healed = _run_cell(template("M"), "scripted", True, 2018,
-                       plan=_scripted_plan(), classes=())
+                       plan=_scripted_plan(), classes=(), audit_index=True)
     unhealed = _run_cell(template("M"), "scripted", False, 2018,
-                         plan=_scripted_plan(), classes=())
+                         plan=_scripted_plan(), classes=(),
+                         audit_index=True)
 
     # Every scripted outage fired, in both modes.
     assert healed.faults == len(SCRIPTED_OUTAGES)

@@ -16,9 +16,12 @@ from repro.topology import template
 
 
 def test_maintenance_drain_smoke():
-    drain = _run_cell(template("M"), "drain", 2018, drain=True)
+    # audit_index: every availability query first checks each pod's
+    # capacity index and shard maps against a full rescan.
+    drain = _run_cell(template("M"), "drain", 2018, drain=True,
+                      audit_index=True)
     faulted = _run_cell(template("M"), "drain+faults", 2018,
-                        drain=True, faults=True)
+                        drain=True, faults=True, audit_index=True)
 
     # The rolling drain committed both racks with zero rejections.
     assert drain.drain_committed, drain.abort_reason

@@ -39,6 +39,7 @@ from repro.experiments.federation import (
     MEAN_LIFETIME_S,
     TENANT_RAM_BYTES,
     TENANT_VCPUS,
+    _audit_indexes,
     _home_of,
 )
 from repro.faults import (
@@ -218,7 +219,8 @@ def _run_cell(spec: TopologySpec, label: str, self_heal: bool,
               seed: int,
               mtbf_s: Optional[float] = None,
               plan: Optional[FaultPlan] = None,
-              classes: Optional[tuple[str, ...]] = None
+              classes: Optional[tuple[str, ...]] = None,
+              audit_index: bool = False
               ) -> AvailabilityCell:
     """One trace under one failure schedule.
 
@@ -227,12 +229,15 @@ def _run_cell(spec: TopologySpec, label: str, self_heal: bool,
     exactly); the trace and home skew also mirror that sweep's cell,
     so with *mtbf_s* and *plan* both ``None`` the injector schedules
     nothing and the run is bit-identical to the sweep's cell (the
-    inertness guarantee).
+    inertness guarantee).  *audit_index* checks every pod's capacity
+    index before each query (see :func:`_audit_indexes`).
     """
     rebalancer = FederationRebalancer(interval_s=0.25,
                                       imbalance_threshold=0.2)
     topo = compile_spec(spec, rebalancer=rebalancer)
     federation = topo.federation
+    if audit_index:
+        _audit_indexes(federation)
     injector = FaultInjector(
         federation,
         specs=_specs_for(mtbf_s) if mtbf_s is not None else None,

@@ -205,6 +205,13 @@ def _home_of(pod_ids: list[str], hot_share: float):
     return choose
 
 
+def _audit_indexes(federation) -> None:
+    """Make every pod audit its capacity index and shard maps against a
+    full rescan before each query (slow; smoke benches turn it on)."""
+    for pod in federation.pods.values():
+        pod.system.sdm.registry.audit_index = True
+
+
 def _run_cell(base: TopologySpec, pod_count: int, rate_hz: float,
               policy: str, tenant_count: int, seed: int,
               workers: Optional[int] = None,

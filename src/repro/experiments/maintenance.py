@@ -43,6 +43,7 @@ from repro.experiments.federation import (
     MEAN_LIFETIME_S,
     TENANT_RAM_BYTES,
     TENANT_VCPUS,
+    _audit_indexes,
     _home_of,
 )
 from repro.faults import FaultInjector
@@ -244,9 +245,12 @@ def _run_cell(spec: TopologySpec, label: str, seed: int, *,
               drain: bool = False,
               faults: bool = False,
               kinds: Optional[tuple[str, ...]] = ("rack-power",),
-              hazard: Optional[Hazard] = None) -> MaintenanceCell:
+              hazard: Optional[Hazard] = None,
+              audit_index: bool = False) -> MaintenanceCell:
     topo = compile_spec(spec)
     federation = topo.federation
+    if audit_index:
+        _audit_indexes(federation)
     supervisor = topo.supervisor()
     injector: Optional[FaultInjector] = None
     if faults:

@@ -161,9 +161,6 @@ def measure_pod(system, plane, alive: bool = True) -> PodStatus:
     """
     registry = system.sdm.registry
     entries = [e for e in registry.memory_entries if not e.failed]
-    fragmentation = (
-        sum(e.allocator.fragmentation for e in entries) / len(entries)
-        if entries else 0.0)
     allocated = sum(e.allocator.allocated_bytes for e in entries)
     free = sum(e.allocator.free_bytes for e in entries)
     return PodStatus(
@@ -173,7 +170,7 @@ def measure_pod(system, plane, alive: bool = True) -> PodStatus:
                        for c in registry.compute_availability()),
         queue_depth=(plane.admission.size
                      + plane.ctx.total_reservation_queue_depth),
-        fragmentation=fragmentation,
+        fragmentation=registry.mean_fragmentation(),
         utilization=allocated / (allocated + free)
         if allocated + free else 0.0,
         idle=plane.is_idle(),

@@ -219,10 +219,6 @@ class GlobalPlacer:
             )
         registry = pod.system.sdm.registry
         memory = registry.memory_availability()
-        entries = [e for e in registry.memory_entries if not e.failed]
-        fragmentation = (
-            sum(e.allocator.fragmentation for e in entries) / len(entries)
-            if entries else 0.0)
         plane = pod.plane
         return PodSnapshot(
             pod_id=pod_id,
@@ -231,7 +227,7 @@ class GlobalPlacer:
                            for c in registry.compute_availability()),
             queue_depth=(plane.admission.size
                          + plane.ctx.total_reservation_queue_depth),
-            fragmentation=fragmentation,
+            fragmentation=registry.mean_fragmentation(),
             claimed_bytes=self._claimed_bytes.get(pod_id, 0),
             claimed_cores=self._claimed_cores.get(pod_id, 0),
         )

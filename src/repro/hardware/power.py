@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from repro.errors import PowerStateError
+from repro.watch import Watched
 
 
 class PowerState(enum.Enum):
@@ -61,11 +62,12 @@ class PowerProfile:
         return self.off_w
 
 
-class Powered:
+class Powered(Watched):
     """Mixin giving a component a power profile and managed state.
 
     Components start :attr:`PowerState.IDLE` (the prototype boots every
     plugged brick; orchestration later powers the unused ones off).
+    Every state change notifies the component's watchers.
     """
 
     def __init__(self, power_profile: PowerProfile,
@@ -95,6 +97,7 @@ class Powered:
                 f"illegal power transition {self._power_state.value} -> "
                 f"{new_state.value}")
         self._power_state = new_state
+        self._changed()
 
     def power_off(self) -> None:
         """Power the component down (via idle if currently active)."""

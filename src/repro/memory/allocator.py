@@ -15,10 +15,14 @@ import operator
 
 from repro.errors import AllocationError
 from repro.memory.address import AddressRange, align_up
+from repro.watch import Watched
 
 
-class SegmentAllocator:
-    """First-fit offset allocator with coalescing over ``[0, capacity)``."""
+class SegmentAllocator(Watched):
+    """First-fit offset allocator with coalescing over ``[0, capacity)``.
+
+    Every allocate and free notifies the allocator's watchers.
+    """
 
     def __init__(self, capacity_bytes: int, alignment: int = 1) -> None:
         if capacity_bytes <= 0:
@@ -40,9 +44,7 @@ class SegmentAllocator:
         #: statistics the placement policies poll per decision are O(1)
         #: instead of rescanning every live allocation.
         self._allocated_bytes = 0
-        #: Mutation counter, bumped by every allocate/free.  Consumers
-        #: caching derived statistics (e.g. the control plane's
-        #: incremental fragmentation gauge) key their cache on it.
+        #: Mutation counter, bumped by every allocate/free.
         self.version = 0
 
     # -- allocation --------------------------------------------------------------
@@ -72,6 +74,7 @@ class SegmentAllocator:
                 self._allocated[offset] = AddressRange(offset, padded)
                 self._allocated_bytes += padded
                 self.version += 1
+                self._changed()
                 return offset
         if self.free_bytes >= padded:
             raise AllocationError(
@@ -88,6 +91,7 @@ class SegmentAllocator:
         self._insert_coalesced(span)
         self._allocated_bytes -= span.size
         self.version += 1
+        self._changed()
         return span.size
 
     def _insert_coalesced(self, span: AddressRange) -> None:

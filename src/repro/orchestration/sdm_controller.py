@@ -679,6 +679,11 @@ ShardedSdmController` maps the bricks to their shards and acquires the
             latency += self.timings.power_on_s
         return brick_id, latency
 
+    def check_index(self) -> None:
+        """Audit the derived placement indexes against a full rescan
+        (see :meth:`ResourceRegistry.check_index`)."""
+        self.registry.check_index()
+
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------

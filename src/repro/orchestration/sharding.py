@@ -90,6 +90,29 @@ class ShardHold:
     size: int
 
 
+def _shard_names(home: dict[str, str]) -> list[str]:
+    """Sorted shard names of a rack -> home shard map."""
+    return sorted(set(home.values())) or ["shard0"]
+
+
+@dataclass
+class _ShardMaps:
+    """The per-rack maps a :class:`ShardedSdmController` derives from
+    the registry and its failed shards."""
+
+    #: rack id -> home shard (the canonical round-robin assignment).
+    home: dict[str, str]
+    #: rack id -> shard responsible for it now: home, or the takeover
+    #: shard while home is failed with takeover (absent while no shard
+    #: is left to take it over; lookups then raise).
+    serving: dict[str, str]
+    #: compute / memory brick id -> the live shard serving its rack;
+    #: bricks whose rack is unmanaged (its shard failed without
+    #: takeover) are absent.
+    compute: dict[str, str]
+    memory: dict[str, str]
+
+
 class ShardedSdmController(SdmController):
     """SDM-C facade whose reservation domain is sharded per rack.
 
@@ -111,8 +134,10 @@ class ShardedSdmController(SdmController):
             raise OrchestrationError(
                 f"shard count must be >= 1, got {shard_count}")
         self._shard_count = shard_count
-        self._rack_to_shard: dict[str, str] = {}
-        self._mapped_brick_count = -1
+        #: The derived shard maps; ``None`` until first use and after
+        #: every registration or shard failure/restore.
+        self._maps: Optional[_ShardMaps] = None
+        registry.add_watcher(self._invalidate_maps)
         self._holds: dict[int, ShardHold] = {}
         self._hold_ids = itertools.count()
         #: Failed shard -> whether the survivors take its racks over.
@@ -122,26 +147,66 @@ class ShardedSdmController(SdmController):
 
     # -- shard topology -----------------------------------------------------
 
-    def _shard_map(self) -> dict[str, str]:
-        """rack_id -> shard name, rebuilt when the brick set grows.
+    def _invalidate_maps(self) -> None:
+        self._maps = None
 
-        Racks are sorted before assignment, so the mapping (and with it
-        the canonical lock order) is deterministic regardless of
-        registration order.  The registry only grows, so its brick
-        count is a sufficient change marker — steady-state calls (the
-        allocation hot path queries this per candidate) are a dict
-        return, not a rescan.
+    def _shard_maps(self) -> "_ShardMaps":
+        """The derived maps, rebuilt only after a registration or a
+        shard failure/restore — the lookups on the allocation hot path
+        are dict reads."""
+        if self.registry.audit_index:
+            self.check_index()
+        maps = self._maps
+        if maps is None:
+            maps = self._maps = self._build_maps()
+        return maps
+
+    def _build_maps(self) -> "_ShardMaps":
+        """Derive every map from the registry and the failed shards.
+
+        Racks are sorted before assignment, so the home mapping (and
+        with it the canonical lock order) is deterministic regardless
+        of registration order.
         """
-        if self.registry.brick_count != self._mapped_brick_count:
-            racks = sorted(
-                {e.rack_id for e in self.registry.compute_entries}
-                | {e.rack_id for e in self.registry.memory_entries})
-            count = self._shard_count or max(1, len(racks))
-            self._rack_to_shard = {
-                rack: f"shard{index % count}"
+        registry = self.registry
+        racks = sorted({e.rack_id for e in registry.compute_entries}
+                       | {e.rack_id for e in registry.memory_entries})
+        count = self._shard_count or max(1, len(racks))
+        home = {rack: f"shard{index % count}"
                 for index, rack in enumerate(racks)}
-            self._mapped_brick_count = self.registry.brick_count
-        return self._rack_to_shard
+        maps = _ShardMaps(home=home, serving={}, compute={}, memory={})
+        for rack in racks:
+            try:
+                maps.serving[rack] = self._resolve_shard(maps, rack)
+            except OrchestrationError:
+                continue  # no live shard can take it over: unserved
+        for entries, served in ((registry.compute_entries, maps.compute),
+                                (registry.memory_entries, maps.memory)):
+            for entry in entries:
+                shard = maps.serving.get(entry.rack_id)
+                if shard is not None and shard not in self._failed_shards:
+                    served[entry.brick.brick_id] = shard
+        return maps
+
+    def _resolve_shard(self, maps: "_ShardMaps", rack_id: str) -> str:
+        """The shard serving *rack_id*, from first principles: its home
+        shard, or the takeover shard while home is failed with
+        takeover.  (Unknown racks belong to ``shard0``.)"""
+        shard = maps.home.get(rack_id, "shard0")
+        if self._failed_shards.get(shard, False):
+            return self._takeover_shard(maps, rack_id)
+        return shard
+
+    def check_index(self) -> None:
+        """Audit the registry's capacity index and the shard maps
+        against a rebuild from scratch; raises
+        :class:`~repro.errors.OrchestrationError` on any difference."""
+        super().check_index()
+        fresh = self._build_maps()
+        if self._maps is not None and self._maps != fresh:
+            raise OrchestrationError(
+                f"shard maps are stale: cached {self._maps!r}, rebuilt "
+                f"{fresh!r}")
 
     def shard_of_rack(self, rack_id: str) -> str:
         """The shard (reservation domain) responsible for *rack_id*.
@@ -154,9 +219,10 @@ class ShardedSdmController(SdmController):
         responsibility — its racks are simply unmanaged until repair
         (see :meth:`rack_is_served`).
         """
-        shard = self._shard_map().get(rack_id, "shard0")
-        if self._failed_shards.get(shard, False):
-            return self._takeover_shard(rack_id)
+        maps = self._shard_maps()
+        shard = maps.serving.get(rack_id)
+        if shard is None:
+            return self._resolve_shard(maps, rack_id)
         return shard
 
     def shard_of_brick(self, brick_id: str) -> str:
@@ -165,8 +231,7 @@ class ShardedSdmController(SdmController):
 
     def shard_names(self) -> list[str]:
         """Every shard name, sorted (the canonical acquisition order)."""
-        names = sorted(set(self._shard_map().values()))
-        return names or ["shard0"]
+        return _shard_names(self._shard_maps().home)
 
     @property
     def shard_count(self) -> int:
@@ -175,7 +240,7 @@ class ShardedSdmController(SdmController):
     def shard_members(self) -> dict[str, list[str]]:
         """shard name -> sorted rack ids it covers (introspection)."""
         members: dict[str, list[str]] = {}
-        for rack_id, shard in sorted(self._shard_map().items()):
+        for rack_id, shard in sorted(self._shard_maps().home.items()):
             members.setdefault(shard, []).append(rack_id)
         return members
 
@@ -217,9 +282,10 @@ class ShardedSdmController(SdmController):
             self._rings[live] = ring
         return ring
 
-    def _takeover_shard(self, rack_id: str) -> str:
+    def _takeover_shard(self, maps: "_ShardMaps", rack_id: str) -> str:
         """The live shard taking *rack_id* over (clockwise ring walk)."""
-        live = frozenset(self.live_shards())
+        live = frozenset(name for name in _shard_names(maps.home)
+                         if name not in self._failed_shards)
         if not live:
             raise OrchestrationError(
                 "every controller shard is down; no takeover possible")
@@ -231,7 +297,7 @@ class ShardedSdmController(SdmController):
     def takeover_map(self) -> dict[str, str]:
         """rack id -> shard currently serving it (introspection)."""
         return {rack_id: self.shard_of_rack(rack_id)
-                for rack_id in sorted(self._shard_map())}
+                for rack_id in sorted(self._shard_maps().home)}
 
     def fail_shard(self, name: str, *,
                    takeover: bool = True) -> list[ShardHold]:
@@ -258,6 +324,7 @@ class ShardedSdmController(SdmController):
         for hold in aborted:
             self._abort_hold(hold)
         self._failed_shards[name] = takeover
+        self._invalidate_maps()
         return aborted
 
     def restore_shard(self, name: str) -> None:
@@ -265,6 +332,7 @@ class ShardedSdmController(SdmController):
         if name not in self._failed_shards:
             raise OrchestrationError(f"shard {name!r} is not failed")
         del self._failed_shards[name]
+        self._invalidate_maps()
 
     # -- locking ------------------------------------------------------------
 
@@ -411,8 +479,9 @@ class ShardedSdmController(SdmController):
         """
         if shard in self._failed_shards:
             return None  # home shard down without takeover
+        served = self._shard_maps().memory
         candidates = [c for c in self.registry.memory_availability()
-                      if self.shard_of_rack(c.rack_id) == shard]
+                      if served.get(c.brick_id) == shard]
         if not candidates:
             return None
         try:
@@ -424,9 +493,9 @@ class ShardedSdmController(SdmController):
     def _pick_remote_candidate(self, compute_entry, padded: int,
                                home: str, rejected: set) -> Optional[str]:
         """Policy pick among non-home-shard bricks (optimistic, no lock)."""
+        served = self._shard_maps().memory
         candidates = [c for c in self.registry.memory_availability()
-                      if self.shard_of_rack(c.rack_id) != home
-                      and self.rack_is_served(c.rack_id)
+                      if served.get(c.brick_id, home) != home
                       and c.brick_id not in rejected]
         if not candidates:
             return None
@@ -485,8 +554,9 @@ class ShardedSdmController(SdmController):
         """
         excluded: set[str] = set()
         while True:
+            served = self._shard_maps().compute
             candidates = [c for c in self.registry.compute_availability()
-                          if self.rack_is_served(c.rack_id)
+                          if c.brick_id in served
                           and c.brick_id not in excluded]
             pick = self.policy.select_compute_brick(
                 candidates, request.vcpus, ram_bytes=0,
@@ -509,10 +579,10 @@ class ShardedSdmController(SdmController):
                     # below would reproduce it verbatim.
                     brick_id = pick
                 else:
+                    served = self._shard_maps().compute
                     shard_candidates = [
                         c for c in self.registry.compute_availability()
-                        if self.shard_of_rack(c.rack_id) == shard
-                        and self.rack_is_served(c.rack_id)
+                        if served.get(c.brick_id) == shard
                         and c.brick_id not in excluded]
                     brick_id = self.policy.select_compute_brick(
                         shard_candidates, request.vcpus, ram_bytes=0,

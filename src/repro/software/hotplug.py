@@ -24,6 +24,7 @@ from repro.software.pages import (
     SectionState,
 )
 from repro.units import milliseconds
+from repro.watch import Watched
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,12 @@ class HotplugTimings:
 DEFAULT_HOTPLUG_TIMINGS = HotplugTimings()
 
 
-class MemoryHotplug:
-    """Section bookkeeping plus operation latencies for one kernel."""
+class MemoryHotplug(Watched):
+    """Section bookkeeping plus operation latencies for one kernel.
+
+    Onlining and offlining notify the watchers (they change
+    :meth:`online_bytes`).
+    """
 
     def __init__(self, section_bytes: int = DEFAULT_SECTION_BYTES,
                  timings: HotplugTimings = DEFAULT_HOTPLUG_TIMINGS) -> None:
@@ -119,6 +124,7 @@ class MemoryHotplug:
             sec.transition(SectionState.ONLINE)
         self._online_sections += len(sections)
         self.operations += 1
+        self._changed()
         return (self.timings.operation_overhead_s
                 + len(sections) * self.timings.online_per_section_s)
 
@@ -134,6 +140,7 @@ class MemoryHotplug:
             sec.transition(SectionState.PRESENT)
         self._online_sections -= len(sections)
         self.operations += 1
+        self._changed()
         return (self.timings.operation_overhead_s
                 + len(sections) * self.timings.offline_per_section_s)
 

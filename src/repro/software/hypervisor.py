@@ -20,6 +20,7 @@ from repro.errors import HypervisorError
 from repro.software.kernel import BaremetalKernel
 from repro.software.vm import VirtualMachine, VmState
 from repro.units import milliseconds
+from repro.watch import Watched
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,12 @@ class VirtualDimm:
     segment_id: str = ""
 
 
-class Hypervisor:
-    """The Type-1 hypervisor instance on one compute brick."""
+class Hypervisor(Watched):
+    """The Type-1 hypervisor instance on one compute brick.
+
+    The four VM membership changes (spawn, terminate, evict, adopt)
+    notify the watchers.
+    """
 
     def __init__(self, kernel: BaremetalKernel,
                  timings: HypervisorTimings = DEFAULT_HYPERVISOR_TIMINGS,
@@ -83,6 +88,11 @@ class Hypervisor:
     def vms(self) -> list[VirtualMachine]:
         return list(self._vms.values())
 
+    @property
+    def hosts_vms(self) -> bool:
+        """True when at least one VM lives here (no list copy)."""
+        return bool(self._vms)
+
     def vm(self, vm_id: str) -> VirtualMachine:
         try:
             return self._vms[vm_id]
@@ -110,6 +120,7 @@ class Hypervisor:
         self._dimms[vm_id] = []
         self._cores_in_use += vcpus
         vm.start()
+        self._changed()
         return vm, self.timings.vm_spawn_s
 
     def terminate_vm(self, vm_id: str) -> None:
@@ -121,6 +132,7 @@ class Hypervisor:
         del self._vms[vm_id]
         del self._dimms[vm_id]
         self._cores_in_use -= vm.vcpus
+        self._changed()
 
     # -- DIMM hotplug --------------------------------------------------------------
 
@@ -217,6 +229,7 @@ class Hypervisor:
         del self._vms[vm_id]
         del self._dimms[vm_id]
         self._cores_in_use -= vm.vcpus
+        self._changed()
         return vm, dimms
 
     def adopt_vm(self, vm: VirtualMachine,
@@ -239,6 +252,7 @@ class Hypervisor:
         self._vms[vm.vm_id] = vm
         self._dimms[vm.vm_id] = list(dimms or [])
         self._cores_in_use += vm.vcpus
+        self._changed()
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.software.hotplug import (
     MemoryHotplug,
 )
 from repro.software.pages import DEFAULT_SECTION_BYTES
+from repro.watch import Watched
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.datamover.mover import DataMover
@@ -37,8 +38,12 @@ class AttachedSegment:
     window_size: int
 
 
-class BaremetalKernel:
-    """Kernel state of one compute brick."""
+class BaremetalKernel(Watched):
+    """Kernel state of one compute brick.
+
+    RAM reservations and releases notify the watchers; section
+    onlining/offlining notifies the :attr:`hotplug` object's.
+    """
 
     def __init__(self, brick: ComputeBrick,
                  section_bytes: int = DEFAULT_SECTION_BYTES,
@@ -79,6 +84,7 @@ class BaremetalKernel:
                 f"cannot reserve {size} bytes; only {self.available_bytes} "
                 f"available on {self.brick.brick_id}")
         self._reserved_bytes += size
+        self._changed()
 
     def release_ram(self, size: int) -> None:
         """Return RAM previously reserved."""
@@ -89,6 +95,7 @@ class BaremetalKernel:
                 f"release of {size} bytes exceeds reservation "
                 f"{self._reserved_bytes}")
         self._reserved_bytes -= size
+        self._changed()
 
     # -- segment attach/detach -----------------------------------------------------
 
