@@ -119,8 +119,6 @@ class Store:
 
     def get(self) -> Event:
         """Event that fires with the next available item (FIFO order)."""
-        # Drawn via the simulator so processed get-events recycle
-        # through its free-list pool (admission queues churn these).
         event = self.sim.event()
         if self._items:
             event.succeed(self._items.popleft())

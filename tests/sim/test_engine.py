@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import AllOf, AnyOf, Interrupt, Simulator, Timeout
+from repro.sim.engine import (
+    NORMAL_PRIORITY,
+    URGENT_PRIORITY,
+    AllOf,
+    AnyOf,
+    Interrupt,
+    Simulator,
+)
 
 
 class TestEvent:
@@ -309,6 +319,17 @@ class TestSimulatorRun:
         sim.run(until=10.0)
         assert sim.now == 10.0
 
+    def test_run_until_infinity_leaves_clock_at_last_event(self, sim):
+        # Like run_window: an infinite horizon must not become the
+        # clock, or every later timeout would be scheduled at inf.
+        sim.timeout(3)
+        sim.run(until=float("inf"))
+        assert sim.now == 3.0
+        later = sim.timeout(1)
+        sim.run()
+        assert later.processed
+        assert sim.now == 4.0
+
     def test_run_until_past_rejected(self, sim):
         sim.timeout(1)
         sim.run(until=5.0)
@@ -439,37 +460,153 @@ class TestConditionDetach:
         assert not good.callbacks
 
 
-class TestEventPooling:
-    def test_processed_timeout_is_recycled(self, sim):
-        sim.timeout(1)  # no reference retained -> poolable
-        sim.run()
-        pool = sim._pools[Timeout]
-        assert pool
-        recycled = pool[-1]
-        fresh = sim.timeout(3, value="again")
-        assert fresh is recycled
-        assert fresh.delay == 3
-        assert not fresh.processed
-        sim.run()
-        assert fresh.value == "again"
-        assert sim.now == 4.0
+def _logged(sim, log, label, delay, priority=NORMAL_PRIORITY):
+    """Schedule an event that appends *label* to *log* when processed.
 
-    def test_referenced_timeout_is_not_recycled(self, sim):
-        held = sim.timeout(1)
-        sim.run()
-        assert held not in sim._pools[Timeout]
-        assert held.processed
+    Normal-priority events are triggered through ``succeed`` (and so
+    can be cancelled); others are handed to ``schedule`` untriggered.
+    """
+    event = sim.event()
+    event.callbacks.append(lambda _: log.append(label))
+    if priority == NORMAL_PRIORITY:
+        event.succeed(delay=delay)
+    else:
+        sim.schedule(event, delay=delay, priority=priority)
+    return event
 
-    def test_recycled_timeouts_stay_deterministic(self, sim):
+
+class TestPendingEvents:
+    def test_orders_by_time_priority_sequence(self, sim):
         log = []
-
-        def worker(name):
-            for _ in range(50):
-                yield sim.timeout(0.5)
-            log.append((name, sim.now))
-
-        for name in range(4):
-            sim.process(worker(name))
+        _logged(sim, log, "t2", 2.0)
+        _logged(sim, log, "t1-normal-first", 1.0)
+        _logged(sim, log, "t1-urgent", 1.0, priority=URGENT_PRIORITY)
+        _logged(sim, log, "t1-normal-second", 1.0)
         sim.run()
-        assert log == [(0, 25.0), (1, 25.0), (2, 25.0), (3, 25.0)]
-        assert len(sim._pools[Timeout]) <= 1024
+        assert log == ["t1-urgent", "t1-normal-first", "t1-normal-second",
+                       "t2"]
+
+    def test_cancelled_entries_never_surface(self, sim):
+        log = []
+        timeouts = [sim.timeout(float(index)) for index in range(10)]
+        for index, timeout in enumerate(timeouts):
+            timeout.callbacks.append(lambda _, i=index: log.append(i))
+        for timeout in timeouts[::2]:
+            timeout.cancel()
+        sim.run()
+        assert log == [1, 3, 5, 7, 9]
+        assert sim.events_processed == 5
+
+    def test_run_until_leaves_later_events_pending(self, sim):
+        early = sim.timeout(1.0)
+        late = sim.timeout(5.0)
+        sim.run(until=2.0)
+        assert early.processed
+        assert not late.processed
+        assert sim.queue_size == 1
+        sim.run(until=5.0)
+        assert late.processed
+
+    def test_run_until_horizon_is_inclusive(self, sim):
+        at_horizon = sim.timeout(3.0)
+        sim.run(until=3.0)
+        assert at_horizon.processed
+
+    def test_step_skips_cancelled_head(self, sim):
+        doomed = sim.timeout(1.0)
+        kept = sim.timeout(2.0)
+        doomed.cancel()
+        sim.step()
+        assert kept.processed
+        assert sim.now == 2.0
+
+    def test_size_and_peak_count_live_entries(self, sim):
+        timeouts = [sim.timeout(float(index)) for index in range(5)]
+        assert sim.queue_size == 5
+        assert sim.queue_peak_size == 5
+        timeouts[4].cancel()
+        assert sim.queue_size == 4
+        # A push after a cancellation reaches 5 live entries again, not
+        # 6: the cancelled entry still in the heap is not counted.
+        sim.timeout(9.0)
+        assert sim.queue_size == 5
+        assert sim.queue_peak_size == 5
+        sim.step()
+        sim.step()
+        assert sim.queue_size == 3
+        assert sim.queue_peak_size == 5
+        sim.run()
+        assert sim.queue_size == 0
+        assert sim.queue_peak_size == 5
+
+
+def _random_tape(rng, operations):
+    """A reproducible op tape: (kind, args) tuples."""
+    tape = []
+    for _ in range(operations):
+        roll = rng.random()
+        if roll < 0.55:
+            kind = rng.choice(("near", "far", "burst"))
+            if kind == "near":
+                delay = rng.uniform(0.0, 0.01)
+            elif kind == "far":
+                delay = rng.uniform(10.0, 1000.0)
+            else:
+                delay = rng.choice((0.0, 0.5, 0.5, 2.0))
+            priority = (URGENT_PRIORITY if rng.random() < 0.1
+                        else NORMAL_PRIORITY)
+            tape.append(("schedule", delay, priority))
+        elif roll < 0.7:
+            tape.append(("step",))
+        elif roll < 0.85:
+            tape.append(("run_until", rng.uniform(0.0, 50.0)))
+        else:
+            tape.append(("cancel", rng.randrange(1, 8)))
+    return tape
+
+
+class TestRandomTapes:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_processed_order_matches_sorted_reference(self, seed):
+        """Random schedule / cancel / step / run(until=...) steps: each
+        run processes exactly the live entries it covers, in sorted
+        ``(time, priority, sequence)`` order."""
+        sim = Simulator()
+        log = []
+        pending = {}  # key (time, priority, sequence) -> event
+        sequence = itertools.count()
+        for op in _random_tape(random.Random(seed), operations=400):
+            if op[0] == "schedule":
+                _, delay, priority = op
+                key = (sim.now + delay, priority, next(sequence))
+                pending[key] = _logged(sim, log, key, delay, priority)
+                continue
+            if op[0] == "cancel":
+                # Cancel the n-th oldest cancellable entry, if any.
+                live = sorted((k for k in pending if pending[k].triggered),
+                              key=lambda k: k[2])
+                if live:
+                    victim = live[min(op[1], len(live)) - 1]
+                    pending.pop(victim).cancel()
+                assert sim.queue_size == len(pending)
+                continue
+            start = len(log)
+            if op[0] == "step":
+                if not pending:
+                    continue
+                expected = [min(pending)]
+                sim.step()
+            else:
+                horizon = sim.now + op[1]
+                expected = sorted(k for k in pending if k[0] <= horizon)
+                sim.run(until=horizon)
+                assert sim.now == horizon
+            assert log[start:] == expected
+            for key in expected:
+                del pending[key]
+            assert sim.queue_size == len(pending)
+        start = len(log)
+        sim.run()
+        assert log[start:] == sorted(pending)
+        assert sim.queue_size == 0
+        assert sim.events_processed == len(log)
