@@ -475,52 +475,85 @@ def _logged(sim, log, label, delay, priority=NORMAL_PRIORITY):
     return event
 
 
+def _drain_by_run(sim, until=float("inf")):
+    sim.run(until=until)
+
+
+def _drain_by_step(sim, until=float("inf")):
+    while sim.queue_size and sim.peek() <= until:
+        sim.step()
+
+
+@pytest.fixture(params=["run", "step"])
+def drain(request):
+    """Process every event at or before a horizon (default: all of
+    them), once through ``run(until=...)`` and once through repeated
+    ``step()`` calls: both entry points share one processing loop and
+    must honour the same pending-event contract."""
+    return {"run": _drain_by_run, "step": _drain_by_step}[request.param]
+
+
 class TestPendingEvents:
-    def test_orders_by_time_priority_sequence(self, sim):
+    def test_orders_by_time_priority_sequence(self, sim, drain):
         log = []
         _logged(sim, log, "t2", 2.0)
         _logged(sim, log, "t1-normal-first", 1.0)
         _logged(sim, log, "t1-urgent", 1.0, priority=URGENT_PRIORITY)
         _logged(sim, log, "t1-normal-second", 1.0)
-        sim.run()
+        drain(sim)
         assert log == ["t1-urgent", "t1-normal-first", "t1-normal-second",
                        "t2"]
 
-    def test_cancelled_entries_never_surface(self, sim):
+    def test_cancelled_entries_never_surface(self, sim, drain):
         log = []
         timeouts = [sim.timeout(float(index)) for index in range(10)]
         for index, timeout in enumerate(timeouts):
             timeout.callbacks.append(lambda _, i=index: log.append(i))
         for timeout in timeouts[::2]:
             timeout.cancel()
-        sim.run()
+        drain(sim)
         assert log == [1, 3, 5, 7, 9]
         assert sim.events_processed == 5
 
-    def test_run_until_leaves_later_events_pending(self, sim):
+    def test_drain_empty_processes_nothing(self, sim, drain):
+        drain(sim)
+        drain(sim, until=1e9)
+        assert sim.events_processed == 0
+        assert sim.queue_size == 0
+
+    def test_peek_empty_is_infinite(self, sim, drain):
+        assert sim.peek() == float("inf")
+        sim.timeout(1.0)
+        drain(sim)
+        assert sim.peek() == float("inf")
+
+    def test_run_until_leaves_later_events_pending(self, sim, drain):
         early = sim.timeout(1.0)
         late = sim.timeout(5.0)
-        sim.run(until=2.0)
+        drain(sim, until=2.0)
         assert early.processed
         assert not late.processed
         assert sim.queue_size == 1
-        sim.run(until=5.0)
+        drain(sim, until=5.0)
         assert late.processed
 
-    def test_run_until_horizon_is_inclusive(self, sim):
+    def test_run_until_horizon_is_inclusive(self, sim, drain):
         at_horizon = sim.timeout(3.0)
-        sim.run(until=3.0)
+        drain(sim, until=3.0)
         assert at_horizon.processed
 
-    def test_step_skips_cancelled_head(self, sim):
+    def test_peek_and_drain_skip_cancelled_head(self, sim, drain):
         doomed = sim.timeout(1.0)
         kept = sim.timeout(2.0)
         doomed.cancel()
-        sim.step()
+        assert sim.peek() == 2.0
+        assert sim.queue_size == 1
+        drain(sim)
         assert kept.processed
+        assert not doomed.processed
         assert sim.now == 2.0
 
-    def test_size_and_peak_count_live_entries(self, sim):
+    def test_size_and_peak_count_live_entries(self, sim, drain):
         timeouts = [sim.timeout(float(index)) for index in range(5)]
         assert sim.queue_size == 5
         assert sim.queue_peak_size == 5
@@ -531,13 +564,20 @@ class TestPendingEvents:
         sim.timeout(9.0)
         assert sim.queue_size == 5
         assert sim.queue_peak_size == 5
-        sim.step()
-        sim.step()
+        drain(sim, until=1.0)
         assert sim.queue_size == 3
         assert sim.queue_peak_size == 5
-        sim.run()
+        drain(sim)
         assert sim.queue_size == 0
         assert sim.queue_peak_size == 5
+
+    def test_peak_size_counts_same_instant_entries(self, sim):
+        for _ in range(7):
+            sim.timeout(1.0)
+        assert sim.queue_peak_size == 7
+        sim.run()
+        assert sim.queue_size == 0
+        assert sim.queue_peak_size == 7
 
 
 def _random_tape(rng, operations):
